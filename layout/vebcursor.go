@@ -18,14 +18,15 @@ type vebFrame struct {
 	entry  int // global depth of this subtree's root level
 }
 
-// VEBCursor performs a root-to-leaf descent through a vEB layout with
-// amortized O(1) work per level: it keeps the stack of decomposition
-// subtrees containing the current node and updates it incrementally (each
-// subtree on the path is entered exactly once). This is the optimization
-// that keeps vEB query cost within a small factor of B-tree queries, as
-// in the paper's measurements, instead of paying a full O(log log N)
-// position derivation per level (VEBNav.Pos). The zero value is not
-// usable; obtain cursors from VEBNav.Cursor.
+// VEBCursor moves through a vEB layout — down a root-to-leaf descent,
+// or up and down an in-order walk — with amortized O(1) work per level:
+// it keeps the stack of decomposition subtrees containing the current
+// node and updates it incrementally (each subtree on the path is entered
+// exactly once). This is the optimization that keeps vEB query cost
+// within a small factor of B-tree queries, as in the paper's
+// measurements, instead of paying a full O(log log N) position
+// derivation per level (VEBNav.Pos). The zero value is not usable;
+// obtain cursors from VEBNav.Cursor.
 type VEBCursor struct {
 	n      int
 	gdepth int
@@ -66,6 +67,19 @@ func (c *VEBCursor) Descend(dir int) bool {
 	}
 	c.refine()
 	return true
+}
+
+// Ascend moves to the current node's ancestor at the given depth, which
+// must lie in [0, current depth]. The frames rooted below the ancestor
+// are popped; the innermost remaining one contains it, and refine
+// re-enters the subtrees down to it.
+func (c *VEBCursor) Ascend(depth int) {
+	c.grank >>= uint(c.gdepth - depth)
+	c.gdepth = depth
+	for c.stack[c.top].entry > depth {
+		c.top--
+	}
+	c.refine()
 }
 
 // refine pushes decomposition frames until the innermost subtree has a

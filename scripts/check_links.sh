@@ -2,7 +2,8 @@
 # check_links.sh [file.md ...] — fail if any internal markdown link in
 # the given files (default: README.md ARCHITECTURE.md) points at a file
 # that does not exist or an anchor with no matching heading. External
-# links (http/https/mailto) are ignored; run from the repository root.
+# links (http/https/mailto) and fenced code blocks are ignored; run from
+# the repository root.
 set -u
 
 files=("$@")
@@ -51,7 +52,10 @@ for f in "${files[@]}"; do
         fi
         ;;
     esac
-  done < <(grep -oE '\]\([^)]+\)' "$f" | sed -E 's/^\]\(//; s/\)$//; s/ .*$//')
+  # Fenced code blocks are skipped: Go's generic calls, such as
+  # store.Open[uint64, uint64]("dir", ...), look like links to grep.
+  done < <(awk '/^```/ { code = !code; next } !code' "$f" \
+    | grep -oE '\]\([^)]+\)' | sed -E 's/^\]\(//; s/\)$//; s/ .*$//')
 done
 
 if [ "$fail" -ne 0 ]; then

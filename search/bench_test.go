@@ -71,3 +71,19 @@ func BenchmarkPredecessor(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScan times a full in-order walk of one 2^19-key index per
+// layout; ns/op is per key.
+func BenchmarkScan(b *testing.B) {
+	n := 1 << 19
+	for _, kind := range []layout.Kind{layout.Sorted, layout.BST, layout.BTree, layout.VEB, layout.Hier} {
+		b.Run(kind.String(), func(b *testing.B) {
+			arr, _ := benchArr(b, kind, n, 8)
+			ix := NewIndex(arr, kind, 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i += n {
+				ix.Scan(func(pos int, _ uint64) bool { benchSink += pos; return true })
+			}
+		})
+	}
+}

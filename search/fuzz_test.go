@@ -8,7 +8,8 @@ import (
 
 // FuzzSearchConsistency checks, from fuzzed sizes and queries, that every
 // layout's Find/Predecessor/Successor agree with binary search on the
-// sorted array.
+// sorted array, and that a cursor sought at the query walks the
+// following keys in sorted order.
 func FuzzSearchConsistency(f *testing.F) {
 	f.Add(uint16(1), uint32(0), uint8(1))
 	f.Add(uint16(100), uint32(55), uint8(4))
@@ -37,6 +38,20 @@ func FuzzSearchConsistency(f *testing.F) {
 			switch {
 			case wantSucc < 0 && s >= 0, wantSucc >= 0 && (s < 0 || arr[s] != sorted[wantSucc]):
 				t.Fatalf("%v n=%d b=%d: Successor(%d) inconsistent", k, n, b, q)
+			}
+			c := ix.Seek(q)
+			for step := 0; step < 64; step++ {
+				want := -1
+				if wantSucc >= 0 && wantSucc+step < n {
+					want = wantSucc + step
+				}
+				got := c.Pos()
+				if (got >= 0) != (want >= 0) || (got >= 0 && arr[got] != sorted[want]) {
+					t.Fatalf("%v n=%d b=%d: cursor from Seek(%d), step %d inconsistent", k, n, b, q, step)
+				}
+				if c.Next() != (want >= 0 && want+1 < n) {
+					t.Fatalf("%v n=%d b=%d: cursor from Seek(%d), step %d: Next disagrees with Pos", k, n, b, q, step)
+				}
 			}
 		}
 	})

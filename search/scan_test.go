@@ -13,7 +13,7 @@ import (
 // and a sweep of sizes including non-perfect ones.
 func TestScanEnumeratesAllInOrder(t *testing.T) {
 	const b = 4
-	for _, n := range []int{0, 1, 2, 5, 7, 26, 100, 511, 512, 1000} {
+	for _, n := range []int{0, 1, 2, 5, 7, 26, 100, 511, 512, 1000, 4097, 1<<16 - 1, 70001} {
 		sorted := oddKeys(n)
 		for kind, arr := range buildAll(n, b) {
 			ix := NewIndex(arr, kind, b)

@@ -9,8 +9,9 @@
 // Beyond exact membership, an Index answers predecessor and successor
 // queries, gives positional access in sorted order (PosOfRank/AtRank,
 // O(log N) index arithmetic with no rank table), and streams keys in
-// ascending order with Range and Scan by walking the conceptual tree in
-// order — no unpermuting, no allocation. FindBatch fans independent
+// ascending order through a Cursor (Seek or First, then Next) that walks
+// the layout in order with amortized O(1) steps — no unpermuting, no
+// allocation; Range and Scan are loops over it. FindBatch fans independent
 // queries across workers, the embarrassingly parallel workload of the
 // paper's GPU evaluation. These primitives are what the store layer
 // builds its record serving on: positions returned by an Index are array

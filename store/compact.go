@@ -104,10 +104,10 @@ func (db *DB[K, V]) flushOne() bool {
 
 // mergeOne merges the runs of the shallowest over-full level (>= Fanout
 // runs) into one run of the next level, returning false when every level
-// is within bounds. The merge streams: each victim is iterated in rank
-// order through its permuted array (no Export, no heap copy of the
-// inputs), a loser tree resolves the k sources newest-first with
-// first-hit-wins, and the output segment is written shard by shard as
+// is within bounds. The merge streams: each victim is walked in key
+// order by a run cursor over its permuted arrays (no Export, no heap
+// copy of the inputs), a loser tree resolves the k sources newest-first
+// with first-hit-wins, and the output segment is written shard by shard as
 // the merged stream fills each buffer — so the merge's peak heap is one
 // output shard, however large the inputs (see stream.go). A merge that
 // consumes the oldest run drops tombstones too — nothing older exists
@@ -179,10 +179,10 @@ func (db *DB[K, V]) mergeOne() bool {
 	// Deleting a victim that is still mapped is safe — the mapping keeps
 	// its pages alive past the unlink — and the mapping itself is NOT
 	// released here: a reader holding the pre-swap snapshot may still be
-	// mid-Range over a victim run. The merge retains nothing of the
-	// victims (Export copied every record out before the merge), so each
-	// victim's mapping dies with its last reader's epoch, via the GC
-	// cleanup its open registered.
+	// mid-Range over a victim run. The merged run retains nothing of the
+	// victims — it is a fresh segment (or fresh heap arrays) holding no
+	// reference into any victim — so each victim's mapping dies with its
+	// last reader's epoch, via the GC cleanup its open registered.
 	for _, victim := range st.runs[lo:hi] {
 		if victim.file != "" {
 			os.Remove(filepath.Join(db.dir, victim.file))
@@ -215,16 +215,16 @@ func (db *DB[K, V]) mergeStreamed(victims []*run[K, V], level int, dropTombs boo
 	cfg := buildConfig(upper, db.runOpts)
 	path := segmentPath(db.dir, db.nextSeq.Add(1)-1)
 	err := blockio.WriteFileAtomic(path, func(w io.Writer) error {
-		sources := make([]*source[K, V], len(victims))
-		for i, v := range victims {
-			sources[i] = rankSource(v.st) // victims are newest-first already
-		}
 		sw, err := newSegWriter[K, V](w, cfg, upper)
 		if err != nil {
 			return err
 		}
 		ss := newShardStreamer(sw, streamShardPlan(cfg, upper))
-		if err := streamCompact(sources, dropTombs, ss.add); err != nil {
+		kwayMerge(victimSources(victims), dropTombs, func(k K, mv mval[V]) bool {
+			err = ss.add(k, mv)
+			return err == nil
+		})
+		if err != nil {
 			return err
 		}
 		if err := ss.flush(); err != nil {
@@ -253,24 +253,31 @@ func (db *DB[K, V]) mergeStreamed(victims []*run[K, V], level int, dropTombs boo
 // mergeToMemory runs the same streaming merge with an in-memory sink:
 // the fallback for memory-only DBs and for types the raw codec cannot
 // stream. Record resolution is identical to mergeStreamed — one code
-// path decides what survives a compaction (see streamCompact).
+// path decides what survives a compaction (see kwayMerge).
 func mergeToMemory[K cmp.Ordered, V any](victims []*run[K, V], dropTombs bool) ([]K, []mval[V]) {
 	upper := 0
 	for _, v := range victims {
 		upper += v.st.Len()
 	}
-	sources := make([]*source[K, V], len(victims))
-	for i, v := range victims {
-		sources[i] = rankSource(v.st)
-	}
 	keys := make([]K, 0, upper)
 	vals := make([]mval[V], 0, upper)
-	streamCompact(sources, dropTombs, func(k K, mv mval[V]) error {
+	kwayMerge(victimSources(victims), dropTombs, func(k K, mv mval[V]) bool {
 		keys = append(keys, k)
 		vals = append(vals, mv)
-		return nil
+		return true
 	})
 	return keys, vals
+}
+
+// victimSources opens one whole-run source per merge victim, keeping
+// the victims' newest-first order.
+func victimSources[K cmp.Ordered, V any](victims []*run[K, V]) []*source[K, V] {
+	var zero K
+	sources := make([]*source[K, V], len(victims))
+	for i, v := range victims {
+		sources[i] = runSource(v.st, zero, zero, true)
+	}
+	return sources
 }
 
 // overFullLevel returns the bounds [lo, hi) of the runs of the

@@ -718,9 +718,9 @@ func (db *DB[K, V]) rangeOn(act *memtable[K, V], st *dbstate[K, V], lo, hi K, al
 		sources = append(sources, recsSource(boundRecs(m.sortedRecs(), lo, hi, all)))
 	}
 	for _, r := range st.runs {
-		sources = append(sources, storeSource(r.st, lo, hi, all))
+		sources = append(sources, runSource(r.st, lo, hi, all))
 	}
-	mergeSources(sources, yield)
+	kwayMerge(sources, true, func(k K, mv mval[V]) bool { return yield(k, mv.val) })
 }
 
 // Flush synchronously freezes the active memtable (if non-empty) and

@@ -138,71 +138,151 @@ func TestDBCompactionMergesAndDropsTombstones(t *testing.T) {
 
 func TestDBRangeMergesAllLayers(t *testing.T) {
 	for _, kind := range []layout.Kind{layout.Sorted, layout.BST, layout.BTree, layout.VEB, layout.Hier} {
+		opts := []Option{WithLayout(kind), WithShards(3), WithB(4)}
 		t.Run(kind.String(), func(t *testing.T) {
-			db, err := NewDB[uint64, string](DBConfig{MemLimit: 16, Fanout: 3,
-				Store: []Option{WithLayout(kind), WithShards(3), WithB(4)}})
+			db, err := NewDB[uint64, string](DBConfig{MemLimit: 16, Fanout: 3, Store: opts})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db.Close()
-
-			ref := map[uint64]string{}
 			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 2000; i++ {
-				k := uint64(rng.Intn(500))
-				switch rng.Intn(10) {
-				case 0:
-					db.Delete(k)
-					delete(ref, k)
-				default:
-					v := fmt.Sprint("r", i)
-					db.Put(k, v)
-					ref[k] = v
-				}
-				if i == 1000 {
-					db.Flush()
-				}
-			}
-
-			check := func(lo, hi uint64) {
-				t.Helper()
-				var gotK []uint64
-				var gotV []string
-				db.Range(lo, hi, func(k uint64, v string) bool {
-					gotK = append(gotK, k)
-					gotV = append(gotV, v)
-					return true
-				})
-				var wantK []uint64
-				for k := range ref {
-					if k >= lo && k <= hi {
-						wantK = append(wantK, k)
-					}
-				}
-				slices.Sort(wantK)
-				wantV := make([]string, len(wantK))
-				for i, k := range wantK {
-					wantV[i] = ref[k]
-				}
-				if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
-					t.Fatalf("Range(%d, %d): got %d records, want %d (first diff around %v)",
-						lo, hi, len(gotK), len(wantK), firstDiff(gotK, wantK))
-				}
-			}
-			check(0, 600)   // everything
-			check(100, 250) // interior
-			check(499, 499) // singleton
-			check(600, 700) // empty, above
-			db.Flush()
-			check(0, 600) // after full compaction too
-
-			// Early exit must stop the merge cleanly.
-			seen := 0
-			db.Scan(func(uint64, string) bool { seen++; return seen < 5 })
-			if seen != 5 {
-				t.Fatalf("early-exit Scan saw %d records, want 5", seen)
-			}
+			ref := map[uint64]string{}
+			fillRangeDB(db, ref, rng, 2000, func(i int) string { return fmt.Sprint("r", i) })
+			checkDBRange(t, db, ref)
 		})
+		// Durable and mapped: the runs are read from segment files
+		// mapped after a close and reopen, under a fresh memtable.
+		t.Run(kind.String()+"/mmap-reopen", func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := DBConfig{MemLimit: 16, Fanout: 3, Mmap: true, Store: opts}
+			db, err := Open[uint64, uint64](dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(7))
+			ref := map[uint64]uint64{}
+			val := func(i int) uint64 { return uint64(i) << 8 }
+			fillRangeDB(db, ref, rng, 2000, val)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = Open[uint64, uint64](dir, cfg); err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for _, r := range db.state.Load().runs {
+				if !r.st.Mapped() {
+					t.Fatalf("reopened run %s is not mapped", r.file)
+				}
+			}
+			fillRangeDB(db, ref, rng, 40, val) // memtable records over mapped runs
+			checkDBRange(t, db, ref)
+		})
+	}
+}
+
+// fillRangeDB applies ops random writes (90% Put, 10% Delete) over keys
+// [0, 500) to db and ref alike, flushing once halfway.
+func fillRangeDB[V any](db *DB[uint64, V], ref map[uint64]V, rng *rand.Rand, ops int, val func(i int) V) {
+	for i := 0; i < ops; i++ {
+		k := uint64(rng.Intn(500))
+		switch rng.Intn(10) {
+		case 0:
+			db.Delete(k)
+			delete(ref, k)
+		default:
+			v := val(i)
+			db.Put(k, v)
+			ref[k] = v
+		}
+		if i == ops/2 {
+			db.Flush()
+		}
+	}
+}
+
+// checkDBRange holds db.Range and db.Scan to ref: fixed windows, windows
+// whose ends sit on the runs' shard fences, before the first fence and
+// past the largest key, and early stops after k records.
+func checkDBRange[V comparable](t *testing.T, db *DB[uint64, V], ref map[uint64]V) {
+	t.Helper()
+	want := func(lo, hi uint64) ([]uint64, []V) {
+		var keys []uint64
+		for k := range ref {
+			if k >= lo && k <= hi {
+				keys = append(keys, k)
+			}
+		}
+		slices.Sort(keys)
+		vals := make([]V, len(keys))
+		for i, k := range keys {
+			vals[i] = ref[k]
+		}
+		return keys, vals
+	}
+	check := func(lo, hi uint64) {
+		t.Helper()
+		var gotK []uint64
+		var gotV []V
+		db.Range(lo, hi, func(k uint64, v V) bool {
+			gotK = append(gotK, k)
+			gotV = append(gotV, v)
+			return true
+		})
+		wantK, wantV := want(lo, hi)
+		if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
+			t.Fatalf("Range(%d, %d): got %d records, want %d (first diff around %v)",
+				lo, hi, len(gotK), len(wantK), firstDiff(gotK, wantK))
+		}
+	}
+	check(0, 600)   // everything
+	check(100, 250) // interior
+	check(499, 499) // singleton
+	check(600, 700) // empty, above
+
+	for _, r := range db.state.Load().runs {
+		fences := r.st.Fences()
+		check(0, fences[0]-1) // before the run's first fence
+		for i, f := range fences {
+			check(f, f)
+			check(f, f+25)
+			check(f-min(f, 25), f)
+			if i+1 < len(fences) {
+				check(f, fences[i+1])
+				check(f+1, fences[i+1]-1)
+			}
+		}
+		check(r.st.maxKey, r.st.maxKey+50) // from the largest key on
+		check(r.st.maxKey+1, 1<<20)        // past it
+	}
+	db.Flush()
+	check(0, 600) // after full compaction too
+
+	// Early stops after k records must yield exactly the first k.
+	allK, allV := want(0, 600)
+	for _, k := range []int{1, 2, 5, 17, len(allK) - 1} {
+		var gotK []uint64
+		var gotV []V
+		stop := func(key uint64, v V) bool {
+			gotK = append(gotK, key)
+			gotV = append(gotV, v)
+			return len(gotK) < k
+		}
+		db.Range(0, 600, stop)
+		if !slices.Equal(gotK, allK[:k]) || !slices.Equal(gotV, allV[:k]) {
+			t.Fatalf("Range stopped after %d: got %d records, want the first %d", k, len(gotK), k)
+		}
+		gotK, gotV = nil, nil
+		db.Scan(stop)
+		if !slices.Equal(gotK, allK[:k]) || !slices.Equal(gotV, allV[:k]) {
+			t.Fatalf("Scan stopped after %d: got %d records, want the first %d", k, len(gotK), k)
+		}
+	}
+	// Early exit must stop the merge cleanly.
+	seen := 0
+	db.Scan(func(uint64, V) bool { seen++; return seen < 5 })
+	if seen != 5 {
+		t.Fatalf("early-exit Scan saw %d records, want 5", seen)
 	}
 }
 

@@ -4,11 +4,12 @@ import (
 	"cmp"
 )
 
-// This file is the streaming half of compaction: a loser-tree k-way
-// merge over rank-order run cursors, feeding a shard-at-a-time sink.
-// Where the old merge Exported every victim onto the heap (O(sum of
-// inputs) peak memory), the streaming merge holds k cursors and one
-// output shard buffer — O(one shard) — and everything else stays on
+// This file holds the DB's one k-way merge — a loser tree over
+// newest-first sources, resolving versions first-hit-wins — and the
+// shard-at-a-time sink compaction streams it into. The merge backs
+// DB.Range, DB.Scan, View.Range and both compaction paths. A compaction
+// reads its victims through run cursors and holds k cursors and one
+// output shard buffer — O(one shard) — while everything else stays on
 // disk (or in the page cache, for mapped victims) until the moment it
 // is read or written.
 
@@ -24,10 +25,9 @@ const maxStreamShardRecs = 1 << 19
 // k sources where node[0] holds the current winner and node[1:] hold
 // the losers of the internal matches, so replacing the winner replays
 // exactly one leaf-to-root path — ceil(log2 k) comparisons per record,
-// against the linear scan's k. Ties order by source index, lower
-// (newer) first, which is what makes the first record the merge yields
-// for a key the newest version — the same rule mergeSources and
-// parallelMerge apply.
+// against a linear scan's k. Ties order by source index, lower (newer)
+// first, which is what makes the first record the merge yields for a
+// key the newest version — the same rule parallelMerge applies.
 type loserTree[K cmp.Ordered, V any] struct {
 	src  []*source[K, V]
 	node []int
@@ -78,7 +78,7 @@ func (t *loserTree[K, V]) beats(a, b int) bool {
 // record (newest on ties), or -1 when every source is exhausted.
 func (t *loserTree[K, V]) winner() int {
 	w := t.node[0]
-	if !t.src[w].ok {
+	if w < 0 || !t.src[w].ok {
 		return -1
 	}
 	return w
@@ -99,26 +99,17 @@ func (t *loserTree[K, V]) advance() {
 	t.node[0] = w
 }
 
-// streamCompact runs the k-way first-hit-wins merge over sources
-// (ordered newest first) and emits each surviving record in ascending
-// key order: for every distinct key the newest version wins, shadowed
-// versions are consumed and dropped, and — when dropTombs is set,
-// i.e. the output becomes the oldest run — tombstones are dropped too.
-// It is the streaming equivalent of parallelMerge + compactRecs, and
-// the property test in stream_test.go holds the two to the same
-// answers. emit returning an error aborts the merge.
-func streamCompact[K cmp.Ordered, V any](sources []*source[K, V], dropTombs bool, emit func(K, mval[V]) error) error {
-	defer func() {
-		for _, s := range sources {
-			s.stop()
-		}
-	}()
+// kwayMerge runs the k-way first-hit-wins merge over sources (ordered
+// newest first) and emits each surviving record in ascending key order:
+// for every distinct key the newest version wins, shadowed versions are
+// consumed and dropped, and — when dropTombs is set — tombstones are
+// dropped too. Reads drop them always; a compaction drops them only
+// when its output becomes the oldest run, with nothing left to shadow.
+// emit returning false stops the merge. The property test in
+// stream_test.go holds it to the answers of parallelMerge + compactRecs.
+func kwayMerge[K cmp.Ordered, V any](sources []*source[K, V], dropTombs bool, emit func(K, mval[V]) bool) {
 	t := newLoserTree(sources)
-	for {
-		w := t.winner()
-		if w < 0 {
-			return nil
-		}
+	for w := t.winner(); w >= 0; {
 		key, mv := t.src[w].key, t.src[w].mv
 		// Consume the winner and every shadowed equal-key record: ties
 		// rank by source index, so the first winner was the newest.
@@ -132,8 +123,8 @@ func streamCompact[K cmp.Ordered, V any](sources []*source[K, V], dropTombs bool
 		if dropTombs && mv.dead {
 			continue
 		}
-		if err := emit(key, mv); err != nil {
-			return err
+		if !emit(key, mv) {
+			return
 		}
 	}
 }

@@ -35,16 +35,48 @@ func oracleMerge[K cmp.Ordered, V any](runs []*Store[K, mval[V]], dropTombs bool
 	return compactRecs(merged, dropTombs)
 }
 
-// streamMerge collects streamCompact's output for comparison.
+// zipRecs pairs the parallel key and payload slices a run Export returns
+// back into merge records.
+func zipRecs[K cmp.Ordered, V any](keys []K, vals []mval[V]) []mrec[K, V] {
+	recs := make([]mrec[K, V], len(keys))
+	for i := range recs {
+		recs[i] = mrec[K, V]{key: keys[i], mv: vals[i]}
+	}
+	return recs
+}
+
+// compactRecs resolves a merged record slice in place: the slice holds
+// equal keys adjacent with the newest occurrence first (parallelMerge
+// keeps the left, newer, run on ties), so keeping the first of each
+// equal-key group applies first-hit-wins. When dropTombs is set,
+// tombstones are dropped too.
+func compactRecs[K cmp.Ordered, V any](recs []mrec[K, V], dropTombs bool) []mrec[K, V] {
+	w := 0
+	for i := range recs {
+		if i > 0 && recs[i].key == recs[i-1].key {
+			continue // shadowed by a newer occurrence
+		}
+		if dropTombs && recs[i].mv.dead {
+			continue
+		}
+		recs[w] = recs[i]
+		w++
+	}
+	return recs[:w]
+}
+
+// streamMerge collects kwayMerge's output over whole-run sources for
+// comparison.
 func streamMerge[K cmp.Ordered, V any](runs []*Store[K, mval[V]], dropTombs bool) []mrec[K, V] {
+	var zero K
 	sources := make([]*source[K, V], len(runs))
 	for i, st := range runs {
-		sources[i] = rankSource(st)
+		sources[i] = runSource(st, zero, zero, true)
 	}
 	var out []mrec[K, V]
-	streamCompact(sources, dropTombs, func(k K, mv mval[V]) error {
+	kwayMerge(sources, dropTombs, func(k K, mv mval[V]) bool {
 		out = append(out, mrec[K, V]{key: k, mv: mv})
-		return nil
+		return true
 	})
 	return out
 }
@@ -52,9 +84,8 @@ func streamMerge[K cmp.Ordered, V any](runs []*Store[K, mval[V]], dropTombs bool
 // TestStreamCompactMatchesOracle is the streaming merge's ground truth:
 // across every layout, both duplicate policies a run store can be built
 // with, tombstone-dropping and -keeping merges, and many random record
-// sets, streamCompact over rank-order cursors must emit exactly the
-// records the old Export + parallelMerge + compactRecs pipeline
-// produced.
+// sets, kwayMerge over run cursors must emit exactly the records the
+// old Export + parallelMerge + compactRecs pipeline produced.
 func TestStreamCompactMatchesOracle(t *testing.T) {
 	layouts := []struct {
 		kind layout.Kind
@@ -136,31 +167,65 @@ func TestStreamCompactNewestWins(t *testing.T) {
 	}
 }
 
-// TestRankSourceOrder checks the streaming input half in isolation:
-// rankSource must yield every record of a multi-shard permuted store in
-// ascending key order, payloads attached to the right keys.
-func TestRankSourceOrder(t *testing.T) {
+// TestRunCursorOrder checks the merge's input half in isolation: over a
+// multi-shard permuted store of every layout, a run cursor must yield
+// every record in ascending key order with its payload attached, and a
+// bounded cursor exactly the records of its window — including windows
+// whose ends sit on shard fences, before the first key and past the
+// last, and keep-all duplicates that straddle a fence.
+func TestRunCursorOrder(t *testing.T) {
 	for _, kind := range []layout.Kind{layout.Sorted, layout.BST, layout.BTree, layout.VEB, layout.Hier} {
-		rng := rand.New(rand.NewPCG(5, uint64(kind)))
-		n := 1000
-		keys := make([]uint32, n)
-		vals := make([]mval[uint16], n)
-		for i := range keys {
-			keys[i] = rng.Uint32()
-			vals[i] = mval[uint16]{val: uint16(keys[i] >> 7)}
-		}
-		st, err := Build(keys, vals, WithLayout(kind), WithB(4), WithShards(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantK, wantV := st.Export()
-		src := rankSource(st)
-		for i := 0; src.ok; i++ {
-			if src.key != wantK[i] || src.mv != wantV[i] {
-				t.Fatalf("%v: rankSource record %d = (%d, %+v), want (%d, %+v)",
-					kind, i, src.key, src.mv, wantK[i], wantV[i])
+		for _, dup := range []DuplicatePolicy{KeepLast, KeepAll} {
+			rng := rand.New(rand.NewPCG(5, uint64(kind)))
+			n := 1000
+			keys := make([]uint32, n)
+			vals := make([]mval[uint16], n)
+			for i := range keys {
+				keys[i] = rng.Uint32N(1 << 12) // collisions: keep-all runs span fences
+				vals[i] = mval[uint16]{val: uint16(i)}
 			}
-			src.advance()
+			st, err := Build(keys, vals, WithLayout(kind), WithB(4), WithShards(7), WithDuplicates(dup))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantK, wantV := st.Export()
+			check := func(lo, hi uint32, all bool) {
+				t.Helper()
+				i, _ := slices.BinarySearch(wantK, lo)
+				if all {
+					i = 0
+				}
+				for c := st.cursor(lo, hi, all); c.ok; c.next() {
+					if i >= len(wantK) || c.key != wantK[i] || c.val != wantV[i] {
+						t.Fatalf("%v/%v [%d, %d] all=%v: record %d = (%d, %+v), want (%d, %+v)",
+							kind, dup, lo, hi, all, i, c.key, c.val, wantK[i], wantV[i])
+					}
+					i++
+				}
+				if i < len(wantK) && (all || wantK[i] <= hi) {
+					t.Fatalf("%v/%v [%d, %d] all=%v: stopped at record %d of %d",
+						kind, dup, lo, hi, all, i, len(wantK))
+				}
+			}
+			check(0, 0, true)
+			fences := st.Fences()
+			maxKey := wantK[len(wantK)-1]
+			check(0, maxKey+1, false)
+			check(maxKey, maxKey, false)
+			check(maxKey+1, maxKey+9, false)
+			for i, f := range fences {
+				check(f, f, false)
+				check(f-1, f, false)
+				check(f, f+100, false)
+				if i+1 < len(fences) {
+					check(f, fences[i+1], false)
+					check(f+1, fences[i+1]-1, false)
+				}
+			}
+			for range 20 {
+				lo := rng.Uint32N(1 << 12)
+				check(lo, lo+rng.Uint32N(600), false)
+			}
 		}
 	}
 }
