@@ -48,9 +48,36 @@ const MaxBlock = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// tagCRC holds the CRC-32C of each one-byte tag, the state every frame
+// checksum continues from, so checksumming a frame never has to hand
+// crc32 a one-byte slice (which escapes to the heap).
+var tagCRC = func() (t [256]uint32) {
+	for i := range t {
+		t[i] = crc32.Update(0, castagnoli, []byte{byte(i)})
+	}
+	return t
+}()
+
 func checksum(tag byte, payload []byte) uint32 {
-	crc := crc32.Update(0, castagnoli, []byte{tag})
-	return crc32.Update(crc, castagnoli, payload)
+	return crc32.Update(tagCRC[tag], castagnoli, payload)
+}
+
+// AppendFrame appends one complete frame holding payload under tag to
+// dst and returns the extended slice — the single encoder behind
+// Writer.WriteBlock, the wire's pre-rendered frames and the write-ahead
+// log's group buffer. It allocates only when dst must grow, and payload
+// does not escape: the checksum runs over the bytes already copied into
+// dst. A payload over MaxBlock is refused and dst returned unchanged.
+func AppendFrame(dst []byte, tag byte, payload []byte) ([]byte, error) {
+	if len(payload) > MaxBlock {
+		return dst, fmt.Errorf("blockio: payload of %d bytes exceeds MaxBlock", len(payload))
+	}
+	start := len(dst)
+	dst = append(dst, tag, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[start+1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+5:], checksum(tag, dst[start+HeaderSize:]))
+	return dst, nil
 }
 
 // Writer appends frames to an underlying stream and tracks the byte
@@ -66,16 +93,13 @@ type Writer struct {
 // process crash loses nothing; fsync policy is the caller's).
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// WriteBlock appends one frame holding payload under the given tag.
+// WriteBlock appends one frame holding payload under the given tag:
+// one AppendFrame into a fresh buffer, one Write.
 func (bw *Writer) WriteBlock(tag byte, payload []byte) error {
-	if len(payload) > MaxBlock {
-		return fmt.Errorf("blockio: payload of %d bytes exceeds MaxBlock", len(payload))
+	frame, err := AppendFrame(make([]byte, 0, HeaderSize+len(payload)), tag, payload)
+	if err != nil {
+		return err
 	}
-	frame := make([]byte, HeaderSize+len(payload))
-	frame[0] = tag
-	binary.LittleEndian.PutUint32(frame[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[5:9], checksum(tag, payload))
-	copy(frame[HeaderSize:], payload)
 	n, err := bw.w.Write(frame)
 	bw.off += int64(n)
 	return err

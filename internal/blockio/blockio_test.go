@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -292,5 +293,50 @@ func TestReaderLimit(t *testing.T) {
 	br = NewReaderLimit(bytes.NewReader(hdr), 1<<20)
 	if _, _, err := br.Next(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("over-limit frame: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestAppendFrame: frames appended back to back into one buffer parse
+// as the frames WriteBlock writes, the checksum covers the tag (the
+// per-tag CRC seed matches a CRC over tag then payload), and appending
+// into a buffer with room allocates nothing.
+func TestAppendFrame(t *testing.T) {
+	var want bytes.Buffer
+	bw := NewWriter(&want)
+	var got []byte
+	for i, tag := range []byte{0, 'P', 'D', 0xFF} {
+		payload := bytes.Repeat([]byte{byte(i)}, i*7)
+		if err := bw.WriteBlock(tag, payload); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if got, err = AppendFrame(got, tag, payload); err != nil {
+			t.Fatal(err)
+		}
+		h := crc32.New(castagnoli)
+		h.Write([]byte{tag})
+		h.Write(payload)
+		if sum := binary.LittleEndian.Uint32(got[len(got)-len(payload)-4:]); sum != h.Sum32() {
+			t.Fatalf("tag %d: checksum %08x, want %08x", tag, sum, h.Sum32())
+		}
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("AppendFrame bytes differ from WriteBlock's")
+	}
+	buf := make([]byte, 0, 1024)
+	payload := []byte("sixteen bytes!!!")
+	if n := testing.AllocsPerRun(100, func() {
+		buf, _ = AppendFrame(buf[:0], 'P', payload)
+	}); n != 0 {
+		t.Fatalf("AppendFrame into a roomy buffer allocates %.1f times, want 0", n)
+	}
+	dw := NewWriter(io.Discard)
+	if n := testing.AllocsPerRun(100, func() {
+		_ = dw.WriteBlock('P', payload)
+	}); n != 1 {
+		t.Fatalf("WriteBlock allocates %.1f times per frame, want 1", n)
+	}
+	if _, err := AppendFrame(nil, 'x', make([]byte, MaxBlock+1)); err == nil {
+		t.Fatal("AppendFrame accepted a payload over MaxBlock")
 	}
 }

@@ -34,15 +34,14 @@
 package wire
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
-	"unsafe"
 
 	"implicitlayout/internal/blockio"
+	"implicitlayout/internal/platform"
 )
 
 const (
@@ -141,23 +140,6 @@ type Hello struct {
 // byte, then kind/width byte pairs for key and value.
 const helloSize = len(Magic) + 4 + 1 + 4
 
-// hostEndian returns this machine's byte order tag.
-func hostEndian() string {
-	var buf [2]byte
-	binary.NativeEndian.PutUint16(buf[:], 1)
-	if buf[0] == 1 {
-		return "little"
-	}
-	return "big"
-}
-
-func endianByte(e string) byte {
-	if e == "big" {
-		return 2
-	}
-	return 1
-}
-
 // Codec carries one (K, V) pair's wire facts: reflect kinds and element
 // widths for the raw array frames, as negotiated in the handshake.
 type Codec[K cmp.Ordered, V any] struct {
@@ -167,48 +149,28 @@ type Codec[K cmp.Ordered, V any] struct {
 	valWidth int
 }
 
-// fixedKind reports whether t is a fixed-width primitive the raw wire
-// format can carry as a memory dump — the same eligibility rule as the
-// codec-v2 segment format.
-func fixedKind(t reflect.Type) (reflect.Kind, bool) {
-	switch k := t.Kind(); k {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Uintptr, reflect.Float32, reflect.Float64:
-		return k, true
-	}
-	return 0, false
-}
-
 // NewCodec builds the codec for one key/value type pair, refusing types
 // the raw wire format cannot carry (strings, structs, slices — anything
 // the segment codec would route to gob instead of a raw dump).
 func NewCodec[K cmp.Ordered, V any]() (*Codec[K, V], error) {
-	kk, ok := fixedKind(reflect.TypeFor[K]())
+	kk, kw, ok := platform.Elem[K]()
 	if !ok {
 		var zk K
 		return nil, fmt.Errorf("wire: key type %T is not fixed-width; the wire carries raw native-endian arrays only", zk)
 	}
-	vk, ok := fixedKind(reflect.TypeFor[V]())
+	vk, vw, ok := platform.Elem[V]()
 	if !ok {
 		var zv V
 		return nil, fmt.Errorf("wire: value type %T is not fixed-width; the wire carries raw native-endian arrays only", zv)
 	}
-	var zk K
-	var zv V
-	return &Codec[K, V]{
-		keyKind:  kk,
-		keyWidth: int(unsafe.Sizeof(zk)),
-		valKind:  vk,
-		valWidth: int(unsafe.Sizeof(zv)),
-	}, nil
+	return &Codec[K, V]{keyKind: kk, keyWidth: kw, valKind: vk, valWidth: vw}, nil
 }
 
 // Hello returns the handshake this codec's end would send.
 func (c *Codec[K, V]) Hello() Hello {
 	return Hello{
 		Version:  Version,
-		Endian:   hostEndian(),
+		Endian:   platform.Endian(),
 		KeyKind:  c.keyKind,
 		KeyWidth: c.keyWidth,
 		ValKind:  c.valKind,
@@ -243,7 +205,7 @@ func EncodeHello(h Hello) []byte {
 	b := make([]byte, 0, helloSize)
 	b = append(b, Magic...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(h.Version))
-	b = append(b, endianByte(h.Endian), byte(h.KeyKind), byte(h.KeyWidth), byte(h.ValKind), byte(h.ValWidth))
+	b = append(b, platform.EndianTag(h.Endian), byte(h.KeyKind), byte(h.KeyWidth), byte(h.ValKind), byte(h.ValWidth))
 	return b
 }
 
@@ -266,25 +228,18 @@ func DecodeHello(payload []byte) (Hello, error) {
 		ValKind:  reflect.Kind(p[7]),
 		ValWidth: int(p[8]),
 	}
-	switch p[4] {
-	case 1:
-		h.Endian = "little"
-	case 2:
-		h.Endian = "big"
-	default:
+	e, ok := platform.EndianName(p[4])
+	if !ok {
 		return Hello{}, fmt.Errorf("%w: unknown endian tag %d", ErrMalformed, p[4])
 	}
+	h.Endian = e
 	return h, nil
 }
 
-// FrameBytes renders one complete frame — header and payload — as a
-// byte slice, through the same blockio writer that renders it onto a
-// socket. The client's pipelined send path queues pre-rendered frames.
+// FrameBytes renders one complete frame — header and payload — as one
+// freshly allocated byte slice, through the same blockio.AppendFrame
+// that renders frames onto a socket. The client's pipelined send path
+// and the server's response path queue pre-rendered frames.
 func FrameBytes(tag byte, payload []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(blockio.HeaderSize + len(payload))
-	if err := blockio.NewWriter(&buf).WriteBlock(tag, payload); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return blockio.AppendFrame(make([]byte, 0, blockio.HeaderSize+len(payload)), tag, payload)
 }

@@ -102,9 +102,13 @@ func (db *DB[K, V]) flushOne() bool {
 	return true
 }
 
-// mergeOne merges the runs of the shallowest over-full level (>= Fanout
-// runs) into one run of the next level, returning false when every level
-// is within bounds. The merge streams: each victim is walked in key
+// mergeOne merges the oldest runs of the shallowest over-full level
+// (>= Fanout runs) into one run of a deeper level, returning false when
+// every level is within bounds. Which runs merge, and how deep, depends
+// only on the run stack's shape — never on how far the compactor fell
+// behind — so every run at level L holds exactly Fanout^L flushes and a
+// drained stack's levels are the base-Fanout digits of the flush count
+// (see overFullLevel). The merge streams: each victim is walked in key
 // order by a run cursor over its permuted arrays (no Export, no heap
 // copy of the inputs), a loser tree resolves the k sources newest-first
 // with first-hit-wins, and the output segment is written shard by shard as
@@ -120,25 +124,24 @@ func (db *DB[K, V]) flushOne() bool {
 // commit point), state swapped, victims' files deleted last.
 func (db *DB[K, V]) mergeOne() bool {
 	st := db.state.Load()
-	lo, hi, ok := overFullLevel(st.runs, db.cfg.Fanout)
+	lo, hi, level, ok := overFullLevel(st.runs, db.cfg.Fanout)
 	if !ok {
 		return false
 	}
-	level := st.runs[lo].level
 	toLast := hi == len(st.runs) // merge output becomes the oldest run
 	victims := st.runs[lo:hi]
 
 	var newRun *run[K, V]
 	if db.dir != "" && runStreamable[K, V]() {
 		var err error
-		if newRun, err = db.mergeStreamed(victims, level+1, toLast); err != nil {
+		if newRun, err = db.mergeStreamed(victims, level, toLast); err != nil {
 			db.setErr(err)
 			return false // victims stay live; merge retries after the error clears
 		}
 	} else {
 		keys, vals := mergeToMemory(victims, toLast)
 		if len(keys) > 0 { // all-tombstone merges can compact to nothing
-			newRun = &run[K, V]{st: db.buildRun(keys, vals), level: level + 1}
+			newRun = &run[K, V]{st: db.buildRun(keys, vals), level: level}
 			if db.dir != "" {
 				file, err := db.writeSegment(newRun.st)
 				if err != nil {
@@ -280,21 +283,35 @@ func victimSources[K cmp.Ordered, V any](victims []*run[K, V]) []*source[K, V] {
 	return sources
 }
 
-// overFullLevel returns the bounds [lo, hi) of the runs of the
-// shallowest level holding at least fanout runs. Runs are newest-first
-// and level-ascending, so each level is one contiguous band.
-func overFullLevel[K cmp.Ordered, V any](runs []*run[K, V], fanout int) (lo, hi int, ok bool) {
+// overFullLevel picks the next merge: the shallowest level l holding
+// c >= fanout runs, and within it the oldest fanout^m runs, [lo, hi),
+// which merge into one run at level l+m. m is the largest value with
+// fanout^m <= c, capped so the merged run is no deeper than the next
+// older run and the stack stays level-ascending. Merging fanout^m runs
+// of fanout^l flushes each gives fanout^(l+m) flushes, so the rule keeps
+// "level L holds fanout^L flushes" however large the backlog is: a
+// compactor that fell behind takes the same steps in bigger strides
+// instead of merging whatever piled up into one odd-sized run. Runs are
+// newest-first and level-ascending, so each level is one contiguous
+// band and its oldest runs end it.
+func overFullLevel[K cmp.Ordered, V any](runs []*run[K, V], fanout int) (lo, hi, level int, ok bool) {
 	for i := 0; i < len(runs); {
+		l := runs[i].level
 		j := i
-		for j < len(runs) && runs[j].level == runs[i].level {
+		for j < len(runs) && runs[j].level == l {
 			j++
 		}
-		if j-i >= fanout {
-			return i, j, true
+		if c := j - i; c >= fanout {
+			span, m := fanout, 1
+			for span <= c/fanout && (j == len(runs) || l+m < runs[j].level) {
+				span *= fanout
+				m++
+			}
+			return j - span, j, l + m, true
 		}
 		i = j
 	}
-	return 0, 0, false
+	return 0, 0, 0, false
 }
 
 // buildRun runs the static build pipeline over sorted unique records and

@@ -34,17 +34,17 @@ type DBConfig struct {
 	// Fanout is the number of runs per level that triggers a merge into
 	// the next level (default DefaultFanout).
 	Fanout int
-	// SyncWrites, in durable mode, fsyncs the write-ahead log after
-	// every Put and Delete before acknowledging it, extending the crash
-	// guarantee from "process crash loses nothing" to "OS or power
-	// failure loses nothing" — at the cost of one disk sync per write.
-	// The sync happens outside the DB's mutex, after the record is
-	// logged and applied, so concurrent readers never stall behind it,
-	// and one writer's fsync covers every append that preceded it (a
-	// natural group commit under concurrency). With SyncWrites off (the
-	// default), every acked write still reaches the OS before the call
-	// returns, and the log is always fsynced when a memtable freezes.
-	// Ignored in memory-only mode.
+	// SyncWrites, in durable mode, fsyncs the write-ahead log before a
+	// Put or Delete is acknowledged, extending the crash guarantee from
+	// "process crash loses nothing" to "OS or power failure loses
+	// nothing" — at the cost of a disk sync per commit group. The sync
+	// happens outside the DB's mutex, after the record's group is
+	// written and applied, so concurrent readers never stall behind it,
+	// and one fsync covers every group written before it: concurrent
+	// writers share it. With SyncWrites off (the default), every acked
+	// write still reaches the OS before the call returns, and the log is
+	// always fsynced when a memtable freezes. Ignored in memory-only
+	// mode.
 	SyncWrites bool
 	// Mmap selects cold-serve mode for durable DBs: Open serves every
 	// codec-v2 segment from a read-only memory mapping instead of
@@ -79,12 +79,13 @@ type DBConfig struct {
 // Writes (Put, Delete) go to the memtable under a short mutex; when it
 // reaches the configured limit it is frozen and a background compactor
 // flushes it into a level-0 run, merging runs level to level as they
-// accumulate (tiered compaction with the configured fanout, using the
-// build pipeline's parallel pair merge). All immutable state — frozen
-// memtables and the run stack — lives in one atomically swapped
-// snapshot, so readers never block on the compactor and the compactor
-// never blocks readers; a reader that loaded the previous snapshot keeps
-// reading the runs it holds, which stay valid forever.
+// accumulate (tiered compaction with the configured fanout: a run at
+// level L holds exactly Fanout^L flushes, whether the compactor keeps
+// up or falls behind). All immutable state — frozen memtables and the
+// run stack — lives in one atomically swapped snapshot, so readers never
+// block on the compactor and the compactor never blocks readers; a
+// reader that loaded the previous snapshot keeps reading the runs it
+// holds, which stay valid forever.
 //
 // Reads consult the active memtable, then frozen memtables, then runs
 // newest to oldest; the first version of a key found wins, and a
@@ -101,11 +102,14 @@ type DBConfig struct {
 // A DB opened with NewDB (or Open with an empty directory path) is
 // memory-only: nothing survives the process. A DB opened with Open on a
 // directory is durable — every Put and Delete is appended to a
-// write-ahead log before it is acknowledged, flushed runs are written as
-// checksummed segment files holding the permuted arrays verbatim, and an
-// atomically rewritten manifest names the live segments, so a reopened
-// directory serves every acknowledged write without re-sorting or
-// re-permuting anything that had reached a segment.
+// write-ahead log before it is applied or acknowledged (concurrent
+// writers share one write(2) per group commit, and a record becomes
+// visible to readers only once its group has reached the OS), flushed
+// runs are written as checksummed segment files holding the permuted
+// arrays verbatim, and an atomically rewritten manifest names the live
+// segments, so a reopened directory serves every acknowledged write
+// without re-sorting or re-permuting anything that had reached a
+// segment.
 type DB[K cmp.Ordered, V any] struct {
 	cfg     DBConfig
 	dir     string   // "" = memory-only
@@ -113,8 +117,21 @@ type DB[K cmp.Ordered, V any] struct {
 	runOpts []Option // cfg.Store + the forced KeepLast policy
 	mu      sync.RWMutex
 	active  *memtable[K, V]
-	wal     *walWriter // active memtable's log; nil when memory-only or closed (guarded by mu)
-	closed  bool       // guarded by mu
+	wal     *walWriter     // active memtable's log; nil when memory-only or closed (guarded by mu)
+	walc    walCodec[K, V] // the log encoding (raw v2 or gob v1), fixed at Open
+	closed  bool           // guarded by mu
+
+	// Group commit (durable mode), all guarded by mu: writers queue
+	// frames in pend and records in pendRecs under the queued group; one
+	// leader at a time writes a whole group and applies it (commitLocked).
+	committed *sync.Cond // on mu; broadcast whenever a group finishes
+	queued    *walGroup  // group collecting records; nil when none
+	writing   *walGroup  // group whose write(2) is in flight; nil when none
+	pend      []byte
+	pendRecs  []mrec[K, V]
+	spare     []byte // the in-flight group's buffers, recycled
+	spareRecs []mrec[K, V]
+
 	nextSeq atomic.Uint64
 	state   atomic.Pointer[dbstate[K, V]]
 	compact sync.Mutex // serializes maintain(): background worker vs Flush/Close
@@ -182,6 +199,7 @@ func Open[K cmp.Ordered, V any](dir string, cfg DBConfig) (*DB[K, V], error) {
 		active:  newMemtable[K, V](),
 		workers: buildConfig(1, cfg.Store).Workers,
 	}
+	db.committed = sync.NewCond(&db.mu)
 	db.state.Store(&dbstate[K, V]{})
 	if dir != "" {
 		if err := db.openDir(dir); err != nil {
@@ -197,11 +215,14 @@ func Open[K cmp.Ordered, V any](dir string, cfg DBConfig) (*DB[K, V], error) {
 // creation of the active memtable's log.
 func (db *DB[K, V]) openDir(dir string) error {
 	db.dir = dir
-	// Durable mode ships keys and values through gob; reject types it
-	// cannot carry now, not at the first Put.
-	var zeroK K
-	if _, _, err := encodeWALRecord(zeroK, mval[V]{}); err != nil {
-		return fmt.Errorf("store: durable mode requires gob-encodable key and value types: %w", err)
+	db.walc = newWALCodec[K, V]()
+	if !db.walc.raw {
+		// Types the raw log cannot carry travel through gob; reject
+		// the ones gob cannot carry either now, not at the first Put.
+		var zeroK K
+		if _, err := encodeGobRecord(zeroK, mval[V]{}); err != nil {
+			return fmt.Errorf("store: durable mode requires fixed-width or gob-encodable key and value types: %w", err)
+		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: creating db directory: %w", err)
@@ -341,7 +362,7 @@ func (db *DB[K, V]) openDir(dir string) error {
 		}
 	}
 
-	w, err := createWAL(dir, db.nextSeq.Add(1)-1)
+	w, err := createWAL(dir, db.nextSeq.Add(1)-1, db.walc.preamble())
 	if err != nil {
 		return fail(err)
 	}
@@ -386,22 +407,19 @@ func (db *DB[K, V]) Delete(key K) error {
 	return db.write(key, mval[V]{dead: true})
 }
 
-// write applies one record: log-ahead (durable mode), then the memtable
-// under a short mutex, freezing the table for the compactor when it
-// reaches the limit. The WAL append shares the memtable's mutex, which
-// is what makes log order equal apply order; the record is encoded
-// outside the lock and the SyncWrites fsync happens after the lock is
-// released (see walWriter.syncAck), so the critical section is one
-// unbuffered file write plus one map write even in the fully-durable
-// configuration. The expensive work (sorting, permuting, merging) all
-// happens on the compactor goroutine outside the lock.
+// write applies one record. Memory-only, that is one map write under
+// the mutex. Durable, the record's frame joins the queued commit group
+// under the mutex and the writer waits until a leader — itself, if no
+// group is in flight — has written the whole group to the log and
+// applied it (see commitLocked). The gob encoding of types the raw log
+// cannot carry happens before the lock; the SyncWrites fsync after it
+// (see walWriter.syncAck). The expensive work (sorting, permuting,
+// merging) all happens on the compactor goroutine outside the lock.
 func (db *DB[K, V]) write(key K, mv mval[V]) error {
-	var tag byte
-	var payload []byte
-	if db.dir != "" {
+	var frame []byte
+	if db.dir != "" && !db.walc.raw {
 		var err error
-		tag, payload, err = encodeWALRecord(key, mv)
-		if err != nil {
+		if frame, err = encodeGobRecord(key, mv); err != nil {
 			return err
 		}
 	}
@@ -414,30 +432,51 @@ func (db *DB[K, V]) write(key K, mv mval[V]) error {
 		db.mu.Unlock()
 		return err
 	}
-	w := db.wal
-	if w != nil {
-		if err := w.append(tag, payload); err != nil {
-			db.setErr(err)
-			db.mu.Unlock()
-			return err
+	kick := false
+	var g *walGroup
+	if db.dir == "" {
+		db.active.put(key, mv)
+		kick = db.active.len() >= db.cfg.MemLimit
+	} else {
+		if frame != nil {
+			db.pend = append(db.pend, frame...)
+		} else {
+			db.pend = db.walc.appendRaw(db.pend, key, mv)
+		}
+		db.pendRecs = append(db.pendRecs, mrec[K, V]{key: key, mv: mv})
+		if db.queued == nil {
+			db.queued = &walGroup{}
+		}
+		g = db.queued
+		for !g.done {
+			if db.writing != nil {
+				db.committed.Wait()
+				continue
+			}
+			if db.commitLocked() {
+				kick = true
+			}
 		}
 	}
-	db.active.put(key, mv)
-	kick := false
-	if db.active.len() >= db.cfg.MemLimit {
-		//lint:allow syncorder freeze seals the WAL under db.mu by design: one fsync per MemLimit writes, amortized, and the seal must be ordered against concurrent appends
+	if kick {
+		//lint:allow syncorder freeze seals the WAL under db.mu by design: one fsync per MemLimit writes, amortized, and the seal must be ordered against concurrent group writes
 		db.freezeLocked(true)
-		kick = true
 	}
 	db.mu.Unlock()
 	if kick {
 		db.worker.Kick()
 	}
-	if w != nil && db.cfg.SyncWrites {
-		// The ack waits on the fsync, but readers do not: the record is
+	if g == nil {
+		return nil
+	}
+	if g.err != nil {
+		return g.err
+	}
+	if db.cfg.SyncWrites {
+		// The ack waits on the fsync, but readers do not: the group is
 		// already applied and the lock released. If a freeze sealed the
 		// log in the meantime, the seal's fsync covered the record.
-		if err := w.syncAck(); err != nil {
+		if err := g.wal.syncAck(g.end); err != nil {
 			db.setErr(err)
 			return err
 		}
@@ -445,12 +484,85 @@ func (db *DB[K, V]) write(key K, mv mval[V]) error {
 	return nil
 }
 
+// walGroup is one group commit: the records queued between two leader
+// hand-offs, written to the log with a single write(2).
+type walGroup struct {
+	done bool       // the leader finished: err is final (guarded by db.mu)
+	err  error      // the write's failure; nil when the group was applied
+	wal  *walWriter // the log the group went to, for syncAck
+	end  int64      // the log's size after the group, for syncAck
+}
+
+// commitLocked leads the queued group: it takes the group's frames and
+// records, writes the frames with one write(2) outside the mutex, and
+// back under it applies the records to the active memtable in log
+// order — so no record is visible before it has reached the OS — and
+// wakes the group's writers. If the write fails (or the DB already
+// failed), none of the records is applied and every writer in the group
+// gets the sticky error. Records queued while the write is in flight
+// form the next group, for the next leader.
+//
+// The caller holds db.mu, and no group is in flight (db.writing is
+// nil). commitLocked reports whether the active memtable reached
+// MemLimit; the caller then freezes it, under the same lock hold, so no
+// other group can be written to a log that is about to be sealed.
+func (db *DB[K, V]) commitLocked() (full bool) {
+	g, frames, recs := db.queued, db.pend, db.pendRecs
+	db.queued, db.writing = nil, g
+	db.pend, db.pendRecs = db.spare[:0], db.spareRecs[:0]
+	w := db.wal
+	err := db.err()
+	if err == nil && w == nil {
+		err = ErrClosed // a crash dropped the log under a queued group
+	}
+	db.mu.Unlock()
+	if err == nil {
+		err = w.write(frames)
+	}
+	db.mu.Lock()
+	db.writing = nil
+	if err != nil {
+		db.setErr(err)
+		g.err = err
+	} else {
+		for _, r := range recs {
+			db.active.put(r.key, r.mv)
+		}
+		g.wal, g.end = w, w.size.Load()
+	}
+	clear(recs) // drop value references held by the recycled buffer
+	db.spare, db.spareRecs = frames[:0], recs[:0]
+	g.done = true
+	db.committed.Broadcast()
+	return err == nil && db.active.len() >= db.cfg.MemLimit
+}
+
+// drainLocked waits out the group in flight and commits the queued
+// one, so that a seal or rotation that follows finds every accepted
+// record in the log it closes and no group writing to it. Groups queued
+// after the call are left for the next log. Caller holds db.mu.
+func (db *DB[K, V]) drainLocked() {
+	target := db.queued
+	if target == nil {
+		target = db.writing
+	}
+	for db.writing != nil || (target != nil && !target.done) {
+		if db.writing != nil {
+			db.committed.Wait()
+			continue
+		}
+		db.commitLocked() // target is still queued: lead it
+	}
+}
+
 // freezeLocked moves the active memtable into the snapshot's frozen list
 // and installs a fresh one. In durable mode the outgoing table's log is
 // sealed (fsynced and closed) and travels with it until the flush that
 // makes it redundant; rotate selects whether a new log is created for
 // the fresh table (Close passes false — no further writes are coming).
-// Caller holds db.mu.
+// Caller holds db.mu and no commit group is in flight (see
+// commitLocked and drainLocked); records still queued have reached no
+// log yet and go to the fresh one.
 //
 // A durable freeze deliberately pays two fsyncs under the lock (the
 // seal, and createWAL's directory sync): they order the old log's
@@ -484,7 +596,7 @@ func (db *DB[K, V]) freezeLocked(rotate bool) {
 	db.state.Store(ns)
 	db.active = newMemtable[K, V]()
 	if rotate && db.dir != "" {
-		w, err := createWAL(db.dir, db.nextSeq.Add(1)-1)
+		w, err := createWAL(db.dir, db.nextSeq.Add(1)-1, db.walc.preamble())
 		if err != nil {
 			db.setErr(err) // sticky: every later write fails rather than going unlogged
 		} else {
@@ -727,11 +839,14 @@ func (db *DB[K, V]) rangeOn(act *memtable[K, V], st *dbstate[K, V], lo, hi K, al
 // drains all pending compaction work: on return every record is in a
 // run — in durable mode, in a manifest-committed segment file — the
 // memtable and frozen list are empty, and the level invariant (fewer
-// than Fanout runs per level) holds. Concurrent writers may of course
+// than Fanout runs per level) holds. In durable mode, writes whose
+// commit group is in flight or queued when Flush is called are
+// committed first and included. Concurrent writers may of course
 // repopulate the memtable immediately. The returned error is the DB's
 // sticky durability error, nil in memory-only mode.
 func (db *DB[K, V]) Flush() error {
 	db.mu.Lock()
+	db.drainLocked()
 	//lint:allow syncorder freeze seals the WAL under db.mu by design: Flush is an explicit stop-the-world drain, not the serving write path
 	db.freezeLocked(true)
 	db.mu.Unlock()
@@ -745,7 +860,8 @@ func (db *DB[K, V]) Flush() error {
 // acknowledged write is left outside a manifest-committed segment and
 // the directory reopens with nothing to replay. After Close the DB stays
 // readable (reads serve the final state), but Put and Delete return
-// ErrClosed. Close is idempotent; it returns the DB's sticky durability
+// ErrClosed; writes already queued for a group commit when Close is
+// called still commit and are acknowledged. Close is idempotent; it returns the DB's sticky durability
 // error, nil in memory-only mode.
 func (db *DB[K, V]) Close() error {
 	db.mu.Lock()
@@ -754,6 +870,7 @@ func (db *DB[K, V]) Close() error {
 		return db.err()
 	}
 	db.closed = true
+	db.drainLocked() // writers that queued before Close still commit
 	//lint:allow syncorder freeze seals the WAL under db.mu by design: Close is shutdown, no concurrent readers left to stall
 	db.freezeLocked(false)
 	db.mu.Unlock()

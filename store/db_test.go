@@ -84,12 +84,21 @@ func TestDBCompactionMergesAndDropsTombstones(t *testing.T) {
 	}
 	defer db.Close()
 
+	// 2n writes at MemLimit 4 are 32 flushes, a power of Fanout: however
+	// the compactor interleaves with the writes, the drained stack is one
+	// level-5 run, so the merges that build it consume the oldest run and
+	// must drop every tombstone. The second pass deletes the even keys
+	// and rewrites the odd ones unchanged, to make its write count n.
 	const n = 64
 	for i := uint64(0); i < n; i++ {
 		db.Put(i, fmt.Sprint("v", i))
 	}
-	for i := uint64(0); i < n; i += 2 {
-		db.Delete(i)
+	for i := uint64(0); i < n; i++ {
+		if i%2 == 0 {
+			db.Delete(i)
+		} else {
+			db.Put(i, fmt.Sprint("v", i))
+		}
 	}
 	db.Flush()
 
@@ -124,6 +133,9 @@ func TestDBCompactionMergesAndDropsTombstones(t *testing.T) {
 		t.Fatalf("Scan = %v/%v, want %v/%v", keys, vals, wantK, wantV)
 	}
 
+	if !slices.Equal(st.RunLevels, []int{5}) {
+		t.Fatalf("run levels %v after 32 flushes at fanout 2, want [5]", st.RunLevels)
+	}
 	// The deepest merge consumed the oldest run, so tombstones must be
 	// physically gone: total run records == live records.
 	total := 0

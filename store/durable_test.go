@@ -50,21 +50,28 @@ func listFiles(t *testing.T, dir, pattern string) []string {
 func TestDBCrashRecovery(t *testing.T) {
 	for _, kind := range append(layout.Kinds(), layout.Sorted) {
 		t.Run(kind.String(), func(t *testing.T) {
-			testDBCrashRecovery(t, kind)
+			t.Run("raw", func(t *testing.T) { testDBCrashRecovery(t, kind, rawVal) })
+			t.Run("gob", func(t *testing.T) { testDBCrashRecovery(t, kind, gobVal) })
 		})
 	}
 }
 
-func testDBCrashRecovery(t *testing.T, kind layout.Kind) {
+// rawVal and gobVal make the value of key i in write generation gen.
+// The durable tests run over both: uint64 values take the raw v2 log,
+// string values the gob v1 log.
+func rawVal(gen, i uint64) uint64 { return gen<<32 | i }
+func gobVal(gen, i uint64) string { return fmt.Sprint(gen, "v", i) }
+
+func testDBCrashRecovery[V comparable](t *testing.T, kind layout.Kind, val func(gen, i uint64) V) {
 	dir := t.TempDir()
 	cfg := DBConfig{MemLimit: 64, Fanout: 2,
 		Store: []Option{WithLayout(kind), WithShards(2), WithB(4)}}
-	db, err := Open[uint64, string](dir, cfg)
+	db, err := Open[uint64, V](dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ref := map[uint64]string{}
+	ref := map[uint64]V{}
 	ack := func(k uint64, err error) {
 		t.Helper()
 		if err != nil {
@@ -72,7 +79,7 @@ func testDBCrashRecovery(t *testing.T, kind layout.Kind) {
 		}
 	}
 	for i := uint64(0); i < 300; i++ {
-		v := fmt.Sprint("v", i)
+		v := val(1, i)
 		ack(i, db.Put(i, v))
 		ref[i] = v
 		if i == 150 {
@@ -86,14 +93,14 @@ func testDBCrashRecovery(t *testing.T, kind layout.Kind) {
 		delete(ref, i)
 	}
 	for i := uint64(0); i < 300; i += 10 {
-		v := fmt.Sprint("rewritten", i)
+		v := val(2, i)
 		ack(i, db.Put(i, v))
 		ref[i] = v
 	}
 
 	crashDB(db)
 
-	reopened, err := Open[uint64, string](dir, cfg)
+	reopened, err := Open[uint64, V](dir, cfg)
 	if err != nil {
 		t.Fatalf("reopening crashed directory: %v", err)
 	}
@@ -105,13 +112,13 @@ func testDBCrashRecovery(t *testing.T, kind layout.Kind) {
 		want, live := ref[i]
 		got, ok := reopened.Get(i)
 		if ok != live || got != want {
-			t.Fatalf("recovered Get(%d) = %q, %v; want %q, %v", i, got, ok, want, live)
+			t.Fatalf("recovered Get(%d) = %v, %v; want %v, %v", i, got, ok, want, live)
 		}
 	}
 	n := 0
-	reopened.Scan(func(k uint64, v string) bool {
+	reopened.Scan(func(k uint64, v V) bool {
 		if want, ok := ref[k]; !ok || v != want {
-			t.Fatalf("recovered Scan yielded %d=%q; reference says %q, %v", k, v, want, ok)
+			t.Fatalf("recovered Scan yielded %d=%v; reference says %v, %v", k, v, want, ok)
 		}
 		n++
 		return true
@@ -133,32 +140,37 @@ func testDBCrashRecovery(t *testing.T, kind layout.Kind) {
 	if wals := listFiles(t, dir, "wal-*.log"); len(wals) != 0 {
 		t.Fatalf("after clean Close: WAL files remain: %v", wals)
 	}
-	third, err := Open[uint64, string](dir, cfg)
+	third, err := Open[uint64, V](dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer third.Close()
 	for k, want := range ref {
 		if got, ok := third.Get(k); !ok || got != want {
-			t.Fatalf("third open Get(%d) = %q, %v; want %q", k, got, ok, want)
+			t.Fatalf("third open Get(%d) = %v, %v; want %v", k, got, ok, want)
 		}
 	}
 }
 
 // TestDBTornWALTail cuts the final WAL record mid-frame — the shape a
-// crash leaves when it interrupts an append — and verifies the reopen
-// succeeds, serves every record before the tear, and drops only the
-// torn one.
+// crash leaves when it interrupts a group write — and verifies the
+// reopen succeeds, serves every record before the tear, and drops only
+// the torn one. Raw (v2) and gob (v1) logs alike.
 func TestDBTornWALTail(t *testing.T) {
+	t.Run("raw", func(t *testing.T) { testDBTornWALTail(t, rawVal) })
+	t.Run("gob", func(t *testing.T) { testDBTornWALTail(t, gobVal) })
+}
+
+func testDBTornWALTail[V comparable](t *testing.T, val func(gen, i uint64) V) {
 	dir := t.TempDir()
 	cfg := DBConfig{MemLimit: 1 << 20} // never freezes: all records in one WAL
-	db, err := Open[uint64, string](dir, cfg)
+	db, err := Open[uint64, V](dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 100
 	for i := uint64(0); i < n; i++ {
-		if err := db.Put(i, fmt.Sprint("v", i)); err != nil {
+		if err := db.Put(i, val(1, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,14 +188,14 @@ func TestDBTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := Open[uint64, string](dir, cfg)
+	reopened, err := Open[uint64, V](dir, cfg)
 	if err != nil {
 		t.Fatalf("reopening with torn WAL tail: %v", err)
 	}
 	defer reopened.Close()
 	for i := uint64(0); i < n-1; i++ {
-		if v, ok := reopened.Get(i); !ok || v != fmt.Sprint("v", i) {
-			t.Fatalf("record before the tear lost: Get(%d) = %q, %v", i, v, ok)
+		if v, ok := reopened.Get(i); !ok || v != val(1, i) {
+			t.Fatalf("record before the tear lost: Get(%d) = %v, %v", i, v, ok)
 		}
 	}
 	if _, ok := reopened.Get(n - 1); ok {
@@ -195,17 +207,23 @@ func TestDBTornWALTail(t *testing.T) {
 // stop at the damage (serving the intact prefix), Open must still
 // succeed, and — unlike a benign torn tail — the damaged log must be
 // preserved under a ".corrupt" suffix for inspection rather than
-// silently deleted, and never replayed again.
+// silently deleted, and never replayed again. Raw (v2) and gob (v1)
+// logs alike.
 func TestDBWALCorruptMidFile(t *testing.T) {
+	t.Run("raw", func(t *testing.T) { testDBWALCorruptMidFile(t, rawVal) })
+	t.Run("gob", func(t *testing.T) { testDBWALCorruptMidFile(t, gobVal) })
+}
+
+func testDBWALCorruptMidFile[V comparable](t *testing.T, val func(gen, i uint64) V) {
 	dir := t.TempDir()
 	cfg := DBConfig{MemLimit: 1 << 20}
-	db, err := Open[uint64, uint64](dir, cfg)
+	db, err := Open[uint64, V](dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 200
 	for i := uint64(0); i < n; i++ {
-		if err := db.Put(i, i*3); err != nil {
+		if err := db.Put(i, val(1, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +237,7 @@ func TestDBWALCorruptMidFile(t *testing.T) {
 	if err := os.WriteFile(wals[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := Open[uint64, uint64](dir, cfg)
+	reopened, err := Open[uint64, V](dir, cfg)
 	if err != nil {
 		t.Fatalf("reopening with mid-file corruption: %v", err)
 	}
@@ -230,8 +248,8 @@ func TestDBWALCorruptMidFile(t *testing.T) {
 		if !ok {
 			break
 		}
-		if v != i*3 {
-			t.Fatalf("recovered Get(%d) = %d, want %d", i, v, i*3)
+		if v != val(1, i) {
+			t.Fatalf("recovered Get(%d) = %v, want %v", i, v, val(1, i))
 		}
 		intact++
 	}
@@ -246,13 +264,13 @@ func TestDBWALCorruptMidFile(t *testing.T) {
 	if err := reopened.Close(); err != nil {
 		t.Fatal(err)
 	}
-	third, err := Open[uint64, uint64](dir, cfg)
+	third, err := Open[uint64, V](dir, cfg)
 	if err != nil {
 		t.Fatalf("third open with a preserved .corrupt file: %v", err)
 	}
 	defer third.Close()
 	for i := 0; i < intact; i++ {
-		if v, ok := third.Get(uint64(i)); !ok || v != uint64(i)*3 {
+		if v, ok := third.Get(uint64(i)); !ok || v != val(1, uint64(i)) {
 			t.Fatalf("third open lost recovered record %d", i)
 		}
 	}
@@ -390,12 +408,18 @@ func TestDBDurableCloseFlushesEverything(t *testing.T) {
 // TestDBDurableConcurrentWriters hammers a durable DB from several
 // goroutines (WAL rotation and background flushing racing the writers),
 // crashes it, and verifies every acknowledged write is recovered. Run
-// under -race this also checks the log-rotation locking.
+// under -race this also checks the log-rotation and group-commit
+// locking. Raw (v2) and gob (v1) logs alike.
 func TestDBDurableConcurrentWriters(t *testing.T) {
+	t.Run("raw", func(t *testing.T) { testDBDurableConcurrentWriters(t, rawVal) })
+	t.Run("gob", func(t *testing.T) { testDBDurableConcurrentWriters(t, gobVal) })
+}
+
+func testDBDurableConcurrentWriters[V comparable](t *testing.T, val func(gen, i uint64) V) {
 	dir := t.TempDir()
 	cfg := DBConfig{MemLimit: 128, Fanout: 2,
 		Store: []Option{WithShards(2), WithLayout(layout.BTree), WithB(4)}}
-	db, err := Open[uint64, uint64](dir, cfg)
+	db, err := Open[uint64, V](dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +435,7 @@ func TestDBDurableConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			base := uint64(w) * stripe
 			for i := uint64(0); i < each; i++ {
-				if err := db.Put(base+i, base^i); err != nil {
+				if err := db.Put(base+i, val(1, base^i)); err != nil {
 					panic(fmt.Sprintf("writer %d: %v", w, err))
 				}
 				if i%5 == 0 {
@@ -425,7 +449,7 @@ func TestDBDurableConcurrentWriters(t *testing.T) {
 	wg.Wait()
 	crashDB(db)
 
-	reopened, err := Open[uint64, uint64](dir, cfg)
+	reopened, err := Open[uint64, V](dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,10 +460,10 @@ func TestDBDurableConcurrentWriters(t *testing.T) {
 			v, ok := reopened.Get(base + i)
 			if i%5 == 0 {
 				if ok {
-					t.Fatalf("deleted key %d resurrected as %d", base+i, v)
+					t.Fatalf("deleted key %d resurrected as %v", base+i, v)
 				}
-			} else if !ok || v != base^i {
-				t.Fatalf("acked write lost: Get(%d) = %d, %v; want %d", base+i, v, ok, base^i)
+			} else if !ok || v != val(1, base^i) {
+				t.Fatalf("acked write lost: Get(%d) = %v, %v; want %v", base+i, v, ok, val(1, base^i))
 			}
 		}
 	}
@@ -605,28 +629,34 @@ func TestDBOpenRejectsCorruptManifest(t *testing.T) {
 	}
 }
 
-// TestDBSyncWrites smoke-tests the fsync-per-write path end to end.
+// TestDBSyncWrites smoke-tests the fsync-before-ack path end to end,
+// over raw (v2) and gob (v1) logs.
 func TestDBSyncWrites(t *testing.T) {
+	t.Run("raw", func(t *testing.T) { testDBSyncWrites(t, rawVal) })
+	t.Run("gob", func(t *testing.T) { testDBSyncWrites(t, gobVal) })
+}
+
+func testDBSyncWrites[V comparable](t *testing.T, val func(gen, i uint64) V) {
 	dir := t.TempDir()
 	cfg := DBConfig{MemLimit: 8, SyncWrites: true}
-	db, err := Open[uint64, string](dir, cfg)
+	db, err := Open[uint64, V](dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 20; i++ {
-		if err := db.Put(i, fmt.Sprint("s", i)); err != nil {
+		if err := db.Put(i, val(1, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	crashDB(db)
-	reopened, err := Open[uint64, string](dir, cfg)
+	reopened, err := Open[uint64, V](dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
 	for i := uint64(0); i < 20; i++ {
-		if v, ok := reopened.Get(i); !ok || v != fmt.Sprint("s", i) {
-			t.Fatalf("synced write lost: Get(%d) = %q, %v", i, v, ok)
+		if v, ok := reopened.Get(i); !ok || v != val(1, i) {
+			t.Fatalf("synced write lost: Get(%d) = %v, %v", i, v, ok)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -17,6 +16,7 @@ import (
 	"implicitlayout/internal/blockio"
 	"implicitlayout/internal/filter"
 	"implicitlayout/internal/mmapio"
+	"implicitlayout/internal/platform"
 	"implicitlayout/layout"
 	"implicitlayout/perm"
 	"implicitlayout/search"
@@ -214,31 +214,6 @@ type segFilter struct {
 	Bloom     []byte
 }
 
-// hostEndian returns this machine's byte order tag as recorded in v2
-// headers.
-func hostEndian() string {
-	var buf [2]byte
-	binary.NativeEndian.PutUint16(buf[:], 1)
-	if buf[0] == 1 {
-		return "little"
-	}
-	return "big"
-}
-
-// fixedKind reports whether t is a fixed-width primitive the raw codec
-// can serialize as a memory dump — the reflection-time eligibility test
-// for codec v2. Strings, structs, slices, and interfaces are not; they
-// take the gob path.
-func fixedKind(t reflect.Type) (reflect.Kind, bool) {
-	switch k := t.Kind(); k {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Uintptr, reflect.Float32, reflect.Float64:
-		return k, true
-	}
-	return 0, false
-}
-
 // segCodec abstracts how a shard's value slice crosses the codec: one
 // gob frame for plain stores, raw values + tombstone bitmap for DB runs
 // (v1), or — when rawElem allows — a verbatim array dump (v2).
@@ -265,12 +240,8 @@ func (plainCodec[V]) kind() int    { return segPayloadPlain }
 func (plainCodec[V]) rawTag() byte { return tagSegVals }
 
 func (plainCodec[V]) rawElem() (int, reflect.Kind, bool) {
-	k, ok := fixedKind(reflect.TypeFor[V]())
-	if !ok {
-		return 0, 0, false
-	}
-	var v V
-	return int(unsafe.Sizeof(v)), k, true
+	k, w, ok := platform.Elem[V]()
+	return w, k, ok
 }
 
 func (plainCodec[V]) writeShard(bw *blockio.Writer, vals []V) error {
@@ -296,7 +267,7 @@ func (runCodec[V]) kind() int    { return segPayloadRun }
 func (runCodec[V]) rawTag() byte { return tagSegRawVals }
 
 func (runCodec[V]) rawElem() (int, reflect.Kind, bool) {
-	k, ok := fixedKind(reflect.TypeFor[V]())
+	k, ok := platform.FixedKind(reflect.TypeFor[V]())
 	if !ok {
 		return 0, 0, false
 	}
@@ -481,7 +452,7 @@ func readRunStream[K cmp.Ordered, V any](r io.Reader, workers int) (*Store[K, mv
 // segments — the streamable format that carries the run's filter — and
 // v2 for plain stores, whose format has no filter to carry.
 func segWriteVersion[K cmp.Ordered, V any](s *Store[K, V], codec segCodec[V]) int {
-	if _, ok := fixedKind(reflect.TypeFor[K]()); !ok {
+	if _, ok := platform.FixedKind(reflect.TypeFor[K]()); !ok {
 		return segV1
 	}
 	if s.hasVals {
@@ -529,11 +500,10 @@ func writeSegStreamVersion[K cmp.Ordered, V any](w io.Writer, s *Store[K, V], co
 		hdr.ShardLens = nil
 	}
 	if version != segV1 {
-		kk, _ := fixedKind(reflect.TypeFor[K]())
-		var zk K
-		hdr.Endian = hostEndian()
+		kk, kw, _ := platform.Elem[K]()
+		hdr.Endian = platform.Endian()
 		hdr.KeyKind = int(kk)
-		hdr.KeyWidth = int(unsafe.Sizeof(zk))
+		hdr.KeyWidth = kw
 		if s.hasVals {
 			vw, vk, _ := codec.rawElem()
 			hdr.ValKind = int(vk)
@@ -626,18 +596,18 @@ func validateSegHeader[K cmp.Ordered, V any](hdr *segHeader, codec segCodec[V]) 
 		return err
 	}
 	if hdr.Version != segV1 {
-		if host := hostEndian(); hdr.Endian != host {
+		if host := platform.Endian(); hdr.Endian != host {
 			return fmt.Errorf("store: segment raw arrays are %s-endian, this host is %s-endian — refusing to serve byte-swapped data",
 				hdr.Endian, host)
 		}
-		kk, kok := fixedKind(reflect.TypeFor[K]())
+		kk, kw, kok := platform.Elem[K]()
 		var zk K
 		if !kok {
 			return fmt.Errorf("store: segment holds raw fixed-width keys but key type %T is not fixed-width", zk)
 		}
-		if hdr.KeyKind != int(kk) || hdr.KeyWidth != int(unsafe.Sizeof(zk)) {
+		if hdr.KeyKind != int(kk) || hdr.KeyWidth != kw {
 			return fmt.Errorf("store: segment keys are %v (%d bytes), this store's key type %T is %v (%d bytes)",
-				reflect.Kind(hdr.KeyKind), hdr.KeyWidth, zk, kk, unsafe.Sizeof(zk))
+				reflect.Kind(hdr.KeyKind), hdr.KeyWidth, zk, kk, kw)
 		}
 		if hdr.HasVals {
 			vw, vk, ok := codec.rawElem()

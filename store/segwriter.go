@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"unsafe"
 
 	"implicitlayout/internal/blockio"
 	"implicitlayout/internal/filter"
 	"implicitlayout/internal/mmapio"
+	"implicitlayout/internal/platform"
 	"implicitlayout/perm"
 )
 
@@ -50,7 +50,7 @@ type segWriter[K cmp.Ordered, V any] struct {
 // keys, struct values) merges through the in-memory path and persists
 // as v1.
 func runStreamable[K cmp.Ordered, V any]() bool {
-	if _, ok := fixedKind(reflect.TypeFor[K]()); !ok {
+	if _, ok := platform.FixedKind(reflect.TypeFor[K]()); !ok {
 		return false
 	}
 	_, _, ok := runCodec[V]{}.rawElem()
@@ -79,9 +79,8 @@ func newSegWriter[K cmp.Ordered, V any](w io.Writer, cfg Config, upper int) (*se
 		align: int64(segAlignFor(cfg.Layout)),
 		bloom: filter.New(upper),
 	}
-	kk, _ := fixedKind(reflect.TypeFor[K]())
-	var zk K
-	sw.keyWidth = int(unsafe.Sizeof(zk))
+	kk, kw, _ := platform.Elem[K]()
+	sw.keyWidth = kw
 	vw, vk, _ := runCodec[V]{}.rawElem()
 	sw.valWidth = vw
 	hdr := segHeader{
@@ -92,7 +91,7 @@ func newSegWriter[K cmp.Ordered, V any](w io.Writer, cfg Config, upper int) (*se
 		B:          cfg.B,
 		Algorithm:  int(cfg.Algorithm),
 		Duplicates: int(cfg.Duplicates),
-		Endian:     hostEndian(),
+		Endian:     platform.Endian(),
 		KeyKind:    int(kk),
 		KeyWidth:   sw.keyWidth,
 		ValKind:    int(vk),
